@@ -22,10 +22,12 @@
 //!   free-lists across runs) for the same reason: a reused arena assigns
 //!   slot ids in exactly the order a fresh engine would.
 //! * **cores** — the scheduler-visible mirrors (`queue_lens`, `core_busy`,
-//!   `core_tc`) plus dispatch state (`core_running`, `core_reserved`),
-//!   maintained by the queue/slot helpers so they can never drift from the
-//!   linked structure itself. [`EngineArena::debug_validate`] re-derives
-//!   and cross-checks all of it in debug builds.
+//!   `core_tc`), dispatch state (`core_running`, `core_reserved`), and the
+//!   per-core count of queued items each core type may steal
+//!   (`stealable`), maintained by the queue/slot helpers so they can never
+//!   drift from the linked structure itself.
+//!   [`EngineArena::debug_validate`] re-derives and cross-checks all of it
+//!   in debug builds.
 //!
 //! The event queue ([`CalendarQueue`](crate::equeue::CalendarQueue)) and
 //! the scratch buffers PR 3 introduced (steal victims, member-core vectors,
@@ -65,6 +67,17 @@ pub(crate) struct WaitingMold {
     pub stolen: bool,
 }
 
+/// Which core types may steal a queued item, as `[big, little]` 0/1
+/// counts: a typed placement only by cores of its type (paper §5.3), an
+/// untyped (GRWS) one by either.
+fn steal_mask(place: &Placement) -> [u32; 2] {
+    match place.tc {
+        None => [1, 1],
+        Some(CoreType::Big) => [1, 0],
+        Some(CoreType::Little) => [0, 1],
+    }
+}
+
 /// Reusable engine state: see the module docs. Opaque outside the crate —
 /// create one with [`EngineArena::new`] (or `Default`) and hand it to
 /// `SimEngine::run_with_arena`; the engine resets it at the start of every
@@ -82,6 +95,10 @@ pub struct EngineArena {
     /// Per-core FIFO list heads/tails over the queued-task slots.
     q_head: Vec<u32>,
     q_tail: Vec<u32>,
+    /// Per core, `[big, little]`: how many of its queued items a core of
+    /// that type may steal (see [`steal_mask`]). A steal scan of a victim
+    /// whose count is zero is skipped without walking its list.
+    stealable: Vec<[u32; 2]>,
 
     // Core state + scheduler-visible mirrors.
     pub(crate) core_tc: Vec<CoreType>,
@@ -162,6 +179,8 @@ impl EngineArena {
         self.q_head.resize(n_cores, NIL);
         self.q_tail.clear();
         self.q_tail.resize(n_cores, NIL);
+        self.stealable.clear();
+        self.stealable.resize(n_cores, [0; 2]);
         self.core_running.clear();
         self.core_running.resize(n_cores, NIL);
         self.core_reserved.clear();
@@ -252,9 +271,27 @@ impl EngineArena {
     }
 
     // Every queue mutation goes through these helpers so the published
-    // `queue_lens` mirror and the links can never drift apart.
+    // `queue_lens` mirror, the `stealable` counts and the links can never
+    // drift apart.
+
+    fn count_queued(&mut self, core: usize, place: &Placement) {
+        let mask = steal_mask(place);
+        let counts = &mut self.stealable[core];
+        counts[0] += mask[0];
+        counts[1] += mask[1];
+        self.queue_lens[core] += 1;
+    }
+
+    fn uncount_queued(&mut self, core: usize, id: u32) {
+        let mask = steal_mask(&self.q_place[id as usize]);
+        let counts = &mut self.stealable[core];
+        counts[0] -= mask[0];
+        counts[1] -= mask[1];
+        self.queue_lens[core] -= 1;
+    }
 
     pub(crate) fn enqueue_back(&mut self, core: usize, q: QueuedTask) {
+        self.count_queued(core, &q.placement);
         let id = self.qslot_alloc(q);
         let tail = self.q_tail[core];
         if tail == NIL {
@@ -263,17 +300,16 @@ impl EngineArena {
             self.q_next[tail as usize] = id;
         }
         self.q_tail[core] = id;
-        self.queue_lens[core] += 1;
     }
 
     pub(crate) fn enqueue_front(&mut self, core: usize, q: QueuedTask) {
+        self.count_queued(core, &q.placement);
         let id = self.qslot_alloc(q);
         self.q_next[id as usize] = self.q_head[core];
         self.q_head[core] = id;
         if self.q_tail[core] == NIL {
             self.q_tail[core] = id;
         }
-        self.queue_lens[core] += 1;
     }
 
     pub(crate) fn dequeue_front(&mut self, core: usize) -> Option<QueuedTask> {
@@ -286,23 +322,23 @@ impl EngineArena {
         if next == NIL {
             self.q_tail[core] = NIL;
         }
-        self.queue_lens[core] -= 1;
+        self.uncount_queued(core, id);
         Some(self.qslot_release(id))
     }
 
-    /// Steal scan over one victim's queue: unlink and return the **oldest**
-    /// (FIFO order) item whose placement satisfies `pred` — the same item
-    /// `queue.iter().position(pred)` + `remove(pos)` selected in the
-    /// `VecDeque` engine, with the survivors' relative order preserved.
-    pub(crate) fn dequeue_first_matching(
-        &mut self,
-        core: usize,
-        mut pred: impl FnMut(&Placement) -> bool,
-    ) -> Option<QueuedTask> {
+    /// Steal scan over one victim's queue for a thief of type `tc`: unlink
+    /// and return the **oldest** (FIFO order) item `tc` may steal — the
+    /// same item `queue.iter().position(..)` + `remove(pos)` selected in
+    /// the `VecDeque` engine, with the survivors' relative order preserved.
+    /// O(1) when the victim holds nothing `tc` may steal.
+    pub(crate) fn steal_oldest(&mut self, core: usize, tc: CoreType) -> Option<QueuedTask> {
+        if self.stealable[core][tc.index()] == 0 {
+            return None;
+        }
         let mut prev = NIL;
         let mut cur = self.q_head[core];
         while cur != NIL {
-            if pred(&self.q_place[cur as usize]) {
+            if steal_mask(&self.q_place[cur as usize])[tc.index()] == 1 {
                 let next = self.q_next[cur as usize];
                 if prev == NIL {
                     self.q_head[core] = next;
@@ -312,13 +348,13 @@ impl EngineArena {
                 if next == NIL {
                     self.q_tail[core] = prev;
                 }
-                self.queue_lens[core] -= 1;
+                self.uncount_queued(core, cur);
                 return Some(self.qslot_release(cur));
             }
             prev = cur;
             cur = self.q_next[cur as usize];
         }
-        None
+        unreachable!("stealable count of core {core} out of sync with its queue")
     }
 
     // --- running slots --------------------------------------------------
@@ -368,22 +404,26 @@ impl EngineArena {
     // --- invariant audit -------------------------------------------------
 
     /// Re-derive the arena's redundant state and assert it consistent:
-    /// per-core link lists vs `queue_lens`/`q_tail`, the queued-slot free
-    /// list vs the allocation count, core mirrors vs running slots, and the
-    /// running-slot free list vs liveness. Called from the engine's event
-    /// loop under `debug_assertions` (and from the behavior tests'
-    /// auditor); release builds never pay for it.
+    /// per-core link lists vs `queue_lens`/`q_tail`/`stealable`, the
+    /// queued-slot free list vs the allocation count, core mirrors vs
+    /// running slots, and the running-slot free list vs liveness. Called
+    /// from the engine's event loop under `debug_assertions` (and from the
+    /// behavior tests' auditor); release builds never pay for it.
     pub fn debug_validate(&self) {
         let n_slots = self.q_task.len();
         let mut linked = 0usize;
         for core in 0..self.core_tc.len() {
             let mut count = 0usize;
+            let mut stealable = [0u32; 2];
             let mut prev = NIL;
             let mut cur = self.q_head[core];
             while cur != NIL {
                 assert!((cur as usize) < n_slots, "queue link out of bounds");
                 count += 1;
                 assert!(count <= n_slots, "queue link cycle on core {core}");
+                let mask = steal_mask(&self.q_place[cur as usize]);
+                stealable[0] += mask[0];
+                stealable[1] += mask[1];
                 prev = cur;
                 cur = self.q_next[cur as usize];
             }
@@ -394,6 +434,10 @@ impl EngineArena {
             assert_eq!(
                 count, self.queue_lens[core],
                 "queue_lens mirror of core {core} out of sync"
+            );
+            assert_eq!(
+                stealable, self.stealable[core],
+                "stealable counts of core {core} out of sync"
             );
             linked += count;
         }

@@ -326,7 +326,14 @@ impl<'a> Sim<'a> {
             match kind {
                 Ev::Wake { core } => self.try_dispatch(sched, core),
                 Ev::Done { slot, token } => self.handle_done(sched, slot, token),
-                Ev::Dvfs => self.rescale_all(),
+                Ev::Dvfs => {
+                    // Engine time never moves backwards, so entries that
+                    // took effect before now are never queried again.
+                    for c in self.ctrl.iter_mut().chain([&mut self.ctrl_mem]) {
+                        c.prune_before(self.now);
+                    }
+                    self.rescale_all();
+                }
                 Ev::MoldTimeout { mold } => {
                     // Patience exhausted: start with the gathered width.
                     if let Some(m) = self.a.molds[mold].take() {
@@ -448,8 +455,10 @@ impl<'a> Sim<'a> {
         }
         // Steal: visit victims in random order; take the oldest compatible
         // item. Typed placements may only be stolen by cores of the same
-        // type (paper §5.3); untyped (GRWS) items move anywhere. The victim
-        // buffer is arena-owned scratch, refilled (not reallocated) and
+        // type (paper §5.3); untyped (GRWS) items move anywhere. A victim
+        // holding nothing this core may steal costs one count lookup, not a
+        // queue walk (`EngineArena::steal_oldest`). The victim buffer is
+        // arena-owned scratch, refilled (not reallocated) and
         // reshuffled on every attempt — the RNG draw sequence is identical
         // to shuffling a freshly collected vector.
         self.t_steal_attempts += 1;
@@ -463,10 +472,7 @@ impl<'a> Sim<'a> {
         }
         let mut found = None;
         for &v in &victims {
-            if let Some(q) = self
-                .a
-                .dequeue_first_matching(v, |p| p.tc.is_none_or(|t| t == my_tc))
-            {
+            if let Some(q) = self.a.steal_oldest(v, my_tc) {
                 found = Some(q);
                 break;
             }

@@ -373,7 +373,8 @@ fn sched_ctx_mirrors_stay_consistent_through_steals() {
 fn arena_invariants_hold_through_steal_and_mold_heavy_runs() {
     // Debug builds audit the arena inside the event loop every 32 events
     // (`EngineArena::debug_validate`: queue links vs the `SchedCtx`
-    // mirrors, free-list accounting, busy/running consistency). This test
+    // mirrors and the per-core steal counts, free-list accounting,
+    // busy/running consistency). This test
     // drives that auditor through a steal- and mold-heavy workload, reuses
     // one arena across runs of different sizes the way `Campaign` workers
     // do, and audits the final state after each run drains.

@@ -114,8 +114,11 @@ impl DvfsController {
         }
     }
 
-    /// Drop timeline entries strictly older than `horizon` (keeping the one
-    /// in effect at `horizon`) to bound memory in long simulations.
+    /// Drop timeline entries strictly older than `horizon`, keeping the one
+    /// in effect at `horizon`. Afterwards [`DvfsController::freq_at`] is
+    /// exact only for times `>= horizon`; a caller whose clock is monotone
+    /// prunes at its current time to keep the timeline (and the lookup)
+    /// down to the entry in effect plus pending transitions.
     pub fn prune_before(&mut self, horizon: SimTime) {
         // Index of the last entry with time <= horizon.
         let keep_from = match self.timeline.binary_search_by(|(t, _)| t.cmp(&horizon)) {
@@ -126,15 +129,6 @@ impl DvfsController {
         if keep_from > 0 {
             self.timeline.drain(..keep_from);
         }
-    }
-
-    /// All pending transition times after `now` (for the engine to schedule
-    /// power-recomputation events).
-    pub fn pending_after(&self, now: SimTime) -> impl Iterator<Item = SimTime> + '_ {
-        self.timeline
-            .iter()
-            .map(|&(t, _)| t)
-            .filter(move |&t| t > now)
     }
 }
 
@@ -212,15 +206,5 @@ mod tests {
         c.prune_before(SimTime::from_secs_f64(2.5));
         assert_eq!(c.freq_at(SimTime::from_secs_f64(2.5)), FreqIndex(1));
         assert_eq!(c.freq_at(SimTime::from_secs_f64(3.5)), FreqIndex(2));
-    }
-
-    #[test]
-    fn pending_after_lists_future_steps() {
-        let mut c = ctrl();
-        c.request(FreqIndex(0), SimTime::from_secs_f64(1.0));
-        let pend: Vec<_> = c.pending_after(SimTime::from_secs_f64(1.0)).collect();
-        assert_eq!(pend.len(), 1);
-        assert!(pend[0] > SimTime::from_secs_f64(1.0));
-        assert_eq!(c.pending_after(SimTime::from_secs_f64(5.0)).count(), 0);
     }
 }

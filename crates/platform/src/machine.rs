@@ -270,8 +270,7 @@ impl MachineModel {
             0.0
         };
 
-        // One memoized probe yields all three noise factors (bit-identical
-        // to three `factor` calls; see `NoiseModel::factors3`).
+        // Time, CPU-power and memory-power noise for this context.
         let [f_time, f_cpu, f_mem] = self.noise.factors3(keys);
         let duration_s = t_clean * f_time;
 

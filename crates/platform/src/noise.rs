@@ -55,113 +55,6 @@ fn std_normal(key: u64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Slots in the per-thread normal-deviate memo (1 << 16 lines, 4 MiB).
-const Z_CACHE_SLOTS: usize = 1 << 16;
-
-/// One memo line: the three quantity hashes of a measurement context and
-/// their standard-normal deviates. Deliberately at natural (48-byte)
-/// size/alignment, **not** padded to a cache line: an over-aligned layout
-/// forces `alloc_zeroed` off the `calloc` fast path into aligned-alloc
-/// plus an explicit memset, and the whole point of [`zeroed_lines`] is
-/// that the 4 MiB arrive as untouched lazy zero pages.
-#[derive(Clone, Copy)]
-struct ZLine {
-    h: [u64; 3],
-    z: [f64; 3],
-}
-
-/// Process-wide pool of retired memo stores. Campaign workers are scoped
-/// threads that live for one campaign; if each fresh thread allocated its
-/// own memo, every small campaign would re-fault the touched pages in (a
-/// few milliseconds of minor faults — more than a small grid's entire
-/// simulation time) and throw the accumulated lines away. Instead a dying
-/// thread parks its store here and the next worker adopts it, pages and
-/// memoized lines intact. The lock is touched twice per thread lifetime,
-/// never on the measurement path.
-static Z_POOL: std::sync::Mutex<Vec<Box<[ZLine]>>> = std::sync::Mutex::new(Vec::new());
-
-/// A thread's checked-out memo store; returns it to [`Z_POOL`] on thread
-/// death so the faulted-in pages and memo contents outlive the thread.
-struct PooledLines(Option<Box<[ZLine]>>);
-
-impl PooledLines {
-    fn checkout() -> Self {
-        let recycled = Z_POOL.lock().map(|mut p| p.pop()).unwrap_or(None);
-        PooledLines(Some(recycled.unwrap_or_else(zeroed_lines)))
-    }
-}
-
-impl Drop for PooledLines {
-    fn drop(&mut self) {
-        if let (Some(lines), Ok(mut pool)) = (self.0.take(), Z_POOL.lock()) {
-            pool.push(lines);
-        }
-    }
-}
-
-thread_local! {
-    /// Direct-mapped memo of `std_normal` over whole measurement contexts.
-    ///
-    /// `std_normal` is a *pure* function of its 64-bit key, and a line is
-    /// used only when all three stored hashes match the probe, so
-    /// memoization is bit-exact by construction: a hit returns exactly the
-    /// values the transcendental chains (ln, sqrt, cos) would recompute,
-    /// and a collision merely recomputes. The win comes from key reuse
-    /// across *runs*: campaign grids re-execute the same tasks at the same
-    /// configurations under different schedulers/targets, and repeated
-    /// benchmark runs replay identical workloads — all hitting the same
-    /// hashes. Adopting another thread's lines (via [`Z_POOL`]) is equally
-    /// sound: a hash match returns the same pure values regardless of who
-    /// computed them.
-    ///
-    /// The backing store is **zero-initialized by the allocator**
-    /// ([`zeroed_lines`]), never written eagerly: with lazy zero pages a
-    /// worker only pays for the lines it touches. An untouched line is
-    /// all-zero, and a stored line at slot `i` always has
-    /// `h[0] & mask == i`, so a zero line can only be falsely hit by the
-    /// probe `h == [0; 3]` at slot 0 — which [`NoiseModel::factors3`]
-    /// routes around the memo entirely.
-    static Z_CACHE: std::cell::RefCell<Option<PooledLines>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Return this thread's memo store (if any) to the shared pool.
-///
-/// Scoped campaign workers return their stores automatically when their
-/// thread-local is destroyed, but a campaign that runs **inline on the
-/// calling thread** (the single-worker fast path) leaves the store pinned
-/// to that thread — fatal to a server whose long-lived executor threads
-/// each run inline campaigns, because every executor would fault in its
-/// own 4 MiB instead of adopting the one warm store. Campaign executors
-/// call this when a campaign finishes; between campaigns the store sits
-/// in the pool, pages and memoized lines intact, ready for whichever
-/// thread runs the next one.
-pub fn release_thread_memo() {
-    Z_CACHE.with(|cache| {
-        if let Ok(mut cache) = cache.try_borrow_mut() {
-            cache.take(); // drop → PooledLines returns the store to Z_POOL
-        }
-    });
-}
-
-/// `Z_CACHE_SLOTS` zeroed [`ZLine`]s straight from the allocator: a 4 MiB
-/// zeroed request is served as untouched (lazy) zero pages, so creation is
-/// O(1) and memory is only committed per cache line actually probed.
-fn zeroed_lines() -> Box<[ZLine]> {
-    let layout = std::alloc::Layout::array::<ZLine>(Z_CACHE_SLOTS).expect("cache layout");
-    // SAFETY: `ZLine` is plain old data (u64/f64 arrays) for which the
-    // all-zero bit pattern is a valid value; the pointer is allocated with
-    // this exact layout and ownership moves into the `Box`, whose drop
-    // deallocates with the same layout.
-    unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout) as *mut ZLine;
-        if ptr.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, Z_CACHE_SLOTS))
-    }
-}
-
 /// Which measured quantity is being perturbed; each gets an independent
 /// noise stream and its own magnitude.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -242,60 +135,11 @@ impl NoiseModel {
     }
 
     /// All three quantity factors for one measurement context, in
-    /// [`Quantity`] declaration order (time, CPU power, memory power).
-    ///
-    /// Identical to calling [`NoiseModel::factor`] three times — the same
-    /// hashes feed the same normal deviates — but the deviates go through a
-    /// per-thread direct-mapped memo, so re-measuring a context already
-    /// seen on this thread (re-running a benchmark, sweeping schedulers
-    /// over one workload) skips the three Box-Muller evaluations. This is
-    /// the path `MachineModel::execute` takes three times per simulated
-    /// task.
+    /// [`Quantity`] declaration order (time, CPU power, memory power):
+    /// exactly three [`NoiseModel::factor`] calls. This is the path
+    /// `MachineModel::execute` takes once per simulated task execution.
     pub fn factors3(&self, keys: &[u64]) -> [f64; 3] {
-        let sigmas = [self.sigma_time, self.sigma_cpu_power, self.sigma_mem_power];
-        if sigmas == [0.0; 3] {
-            return [1.0; 3];
-        }
-        let h = [
-            mix_into(mix_into(MIX_INIT, &[self.seed, Quantity::Time.tag()]), keys),
-            mix_into(
-                mix_into(MIX_INIT, &[self.seed, Quantity::CpuPower.tag()]),
-                keys,
-            ),
-            mix_into(
-                mix_into(MIX_INIT, &[self.seed, Quantity::MemPower.tag()]),
-                keys,
-            ),
-        ];
-        let z = if h == [0; 3] {
-            // Indistinguishable from an untouched (zeroed) cache line, so
-            // never memoized; this hash triple does not occur in practice.
-            [std_normal(h[0]), std_normal(h[1]), std_normal(h[2])]
-        } else {
-            Z_CACHE.with(|cache| {
-                let mut cache = cache.borrow_mut();
-                let lines = cache
-                    .get_or_insert_with(PooledLines::checkout)
-                    .0
-                    .as_mut()
-                    .expect("memo store present until drop");
-                let line = &mut lines[(h[0] as usize) & (Z_CACHE_SLOTS - 1)];
-                if line.h != h {
-                    *line = ZLine {
-                        h,
-                        z: [std_normal(h[0]), std_normal(h[1]), std_normal(h[2])],
-                    };
-                }
-                line.z
-            })
-        };
-        let mut out = [1.0; 3];
-        for i in 0..3 {
-            if sigmas[i] != 0.0 {
-                out[i] = (1.0 + sigmas[i] * z[i]).clamp(0.5, 1.5);
-            }
-        }
-        out
+        [Quantity::Time, Quantity::CpuPower, Quantity::MemPower].map(|q| self.factor(q, keys))
     }
 }
 

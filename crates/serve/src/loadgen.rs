@@ -9,9 +9,10 @@
 //!   throughput;
 //! * **open loop** (`target_rate`): request *starts* are paced on a fixed
 //!   schedule spread across clients, independent of completions —
-//!   measures latency at a controlled offered load. (A client whose
-//!   response is still streaming when its next slot arrives fires late;
-//!   with enough clients the offered rate holds.)
+//!   measures latency at a controlled offered load. Each request's
+//!   latency is timed from its due slot, so a client whose response is
+//!   still streaming when its next slot arrives fires late and that wait
+//!   counts in the late request's latency (no coordinated omission).
 //!
 //! Connections are **reused by default** (HTTP/1.1 keep-alive): each
 //! client holds one connection and pipelines its requests down it
@@ -24,8 +25,8 @@
 //! A `503` answer is load shedding, not failure: the client honours
 //! `Retry-After` and retries the same request (configurable), and the
 //! report counts every shed. Latency is measured per *request*, first
-//! attempt to final byte, so shed-and-retry shows up as tail latency —
-//! exactly what a real client would experience.
+//! attempt (open loop: due slot) to final byte, so shed-and-retry shows
+//! up as tail latency — exactly what a real client would experience.
 
 use crate::client;
 use joss_sweep::GridDesc;
@@ -103,7 +104,8 @@ pub struct LoadReport {
     pub connections: usize,
     /// Successful responses served from the daemon's cache (header).
     pub cache_hits: usize,
-    /// Per-request latencies (first attempt → final byte), sorted ascending.
+    /// Per-request latencies (first attempt → final byte; in open loop,
+    /// due slot → final byte), sorted ascending.
     pub latencies: Vec<Duration>,
     /// Wall time of the whole run.
     pub elapsed: Duration,
@@ -285,18 +287,24 @@ pub fn run(config: &LoadgenConfig) -> LoadReport {
                     let mut slot = ConnSlot::default();
                     for req in 0..config.requests_per_client {
                         // Open loop: global request slots are interleaved
-                        // round-robin across clients.
-                        if let Some(interval) = interval {
-                            let slot = (req * config.clients.max(1) + client_id) as u32;
-                            let due = started + interval * slot;
-                            if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                                std::thread::sleep(wait);
+                        // round-robin across clients, and latency runs from
+                        // the due slot even when the request fires late.
+                        let t0 = match interval {
+                            Some(interval) => {
+                                let slot = (req * config.clients.max(1) + client_id) as u32;
+                                let due = started + interval * slot;
+                                if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                                    std::thread::sleep(wait);
+                                }
+                                due
                             }
-                        }
+                            None => Instant::now(),
+                        };
                         let desc = request_desc(config, client_id, req);
                         drive_one(
                             config,
                             &desc,
+                            t0,
                             &mut slot,
                             &mut tally,
                             shed_total,
@@ -358,16 +366,19 @@ fn request_desc(config: &LoadgenConfig, client_id: usize, req: usize) -> GridDes
     desc
 }
 
+/// Issue one request (retrying sheds) and tally it; `t0` is when the
+/// request was due, which its latency is measured from.
+#[allow(clippy::too_many_arguments)]
 fn drive_one(
     config: &LoadgenConfig,
     desc: &GridDesc,
+    t0: Instant,
     slot: &mut ConnSlot,
     tally: &mut Tally,
     shed_total: &AtomicU64,
     first_body: &Mutex<Option<Vec<u8>>>,
     first_malformation: &Mutex<Option<String>>,
 ) {
-    let t0 = Instant::now();
     let mut sheds_seen = 0usize;
     loop {
         let attempt = if config.keep_alive {
@@ -440,5 +451,75 @@ fn drive_one(
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+
+    /// Read one request (head plus `Content-Length` body) off `reader`.
+    fn read_request(reader: &mut impl BufRead) {
+        let mut body_len = 0;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("request head");
+            let line = line.trim_end();
+            if line.is_empty() {
+                break;
+            }
+            if let Some((name, value)) = line.split_once(':') {
+                if name.eq_ignore_ascii_case("content-length") {
+                    body_len = value.trim().parse().expect("content length");
+                }
+            }
+        }
+        let mut body = vec![0; body_len];
+        reader.read_exact(&mut body).expect("request body");
+    }
+
+    #[test]
+    fn open_loop_latency_runs_from_the_due_slot() {
+        // One kept-alive client, two requests due 50 ms apart. The stub
+        // daemon holds the first response for 400 ms, so the second
+        // request fires about 350 ms after its due time; that wait must
+        // show in its latency rather than vanish from the measurement.
+        const HOLD: Duration = Duration::from_millis(400);
+        let interval = Duration::from_millis(50);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+        let addr = listener.local_addr().expect("stub addr").to_string();
+        let stub = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+            let mut writer = stream;
+            for exchange in 0..2 {
+                read_request(&mut reader);
+                if exchange == 0 {
+                    std::thread::sleep(HOLD);
+                }
+                writer
+                    .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+                    .expect("respond");
+            }
+        });
+
+        let mut config = LoadgenConfig::new(addr, GridDesc::default());
+        config.requests_per_client = 2;
+        config.target_rate = Some(1.0 / interval.as_secs_f64());
+        config.verify = false;
+        config.timeout = Duration::from_secs(10);
+        let report = run(&config);
+        stub.join().expect("stub daemon");
+
+        assert_eq!((report.ok, report.errors), (2, 0), "{}", report.summary());
+        assert_eq!(report.connections, 1, "both requests share the connection");
+        let late = HOLD - interval;
+        assert!(
+            report.latencies.iter().all(|&l| l >= late),
+            "the request held behind the slow response must count its wait: {:?}",
+            report.latencies
+        );
     }
 }

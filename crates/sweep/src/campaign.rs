@@ -50,11 +50,9 @@ impl Campaign {
     /// [`Campaign::run_streaming`] instead.
     pub fn run(&self, ctx: &ExperimentContext, specs: Vec<RunSpec>) -> Vec<RunRecord> {
         let tid = campaign_started();
-        let records = ordered_parallel_map(self.threads, &specs, |index, spec| {
+        ordered_parallel_map(self.threads, &specs, |index, spec| {
             run_spec_traced(ctx, tid, index, spec)
-        });
-        joss_platform::noise::release_thread_memo();
-        records
+        })
     }
 
     /// Execute every spec, handing each record to `sink` **in spec order**
@@ -96,10 +94,6 @@ impl Campaign {
             |index, spec| run_spec_traced(ctx, tid, index_base + index, spec),
             |_, record| sink(record),
         );
-        // Single-worker campaigns ran inline on this thread; hand the
-        // noise memo back so the next campaign (possibly on another
-        // executor thread) adopts it instead of faulting in its own.
-        joss_platform::noise::release_thread_memo();
     }
 
     /// [`Campaign::run_streaming`], with an **explicit global index per
@@ -131,7 +125,6 @@ impl Campaign {
             |index, spec| run_spec_traced(ctx, tid, indices[index], spec),
             |_, record| sink(record),
         );
-        joss_platform::noise::release_thread_memo();
     }
 
     /// Execute every spec, streaming records into a fallible

@@ -103,6 +103,50 @@ proptest! {
         prop_assert_eq!(c.freq_at(settle), c.settled_freq());
         prop_assert_eq!(c.settled_freq(), FreqIndex(*targets.last().unwrap()));
     }
+
+    /// Pruning a controller at every transition's effective time, as the
+    /// engine does on each DVFS event, never changes an answer: for a
+    /// monotone stream of requests and queries (queries at or after the
+    /// current time), the pruned controller matches an unpruned one. So
+    /// does one pruned at every step's current time, between effective
+    /// times.
+    #[test]
+    fn dvfs_pruning_preserves_answers(
+        // (time step µs, target index or >= 5 for a query-only step,
+        // query look-ahead µs)
+        steps in proptest::collection::vec((0u64..300, 0usize..8, 0u64..500), 1..60),
+    ) {
+        let fresh = || {
+            DvfsController::new(DvfsDomain::Memory, FreqIndex(4), Duration::from_micros(100))
+        };
+        let mut full = fresh();
+        let mut pruned = [fresh(), fresh()];
+        let mut pending = std::collections::VecDeque::new();
+        let mut now = SimTime::ZERO;
+        for &(dt, target, ahead) in &steps {
+            now += Duration::from_micros(dt);
+            // Deliver every transition that took effect by now, in order.
+            while pending.front().is_some_and(|&at| at <= now) {
+                pruned[0].prune_before(pending.pop_front().expect("front checked"));
+            }
+            pruned[1].prune_before(now);
+            if target < 5 {
+                let r = full.request(FreqIndex(target), now);
+                for c in &mut pruned {
+                    prop_assert_eq!(c.request(FreqIndex(target), now), r);
+                }
+                if r.transitioned {
+                    pending.push_back(r.effective_at);
+                }
+            }
+            for c in &pruned {
+                for at in [now, now + Duration::from_micros(ahead)] {
+                    prop_assert_eq!(c.freq_at(at), full.freq_at(at));
+                }
+                prop_assert_eq!(c.settled_freq(), full.settled_freq());
+            }
+        }
+    }
 }
 
 proptest! {
