@@ -24,7 +24,8 @@
 //! slot storage with intrusive per-core queues — events flow through a
 //! [`CalendarQueue`](crate::equeue::CalendarQueue) that reproduces the
 //! `(time, push order)` pop order of a binary heap, and idle rail power
-//! comes from precomputed [`PowerTables`]. All of it is bit-exact against
+//! and the machine laws' per-frequency factors come from precomputed
+//! [`PowerTables`]. All of it is bit-exact against
 //! the pre-arena engine: the golden-fixture suite in
 //! `crates/sweep/tests/engine_equivalence.rs` is the gate.
 
@@ -118,7 +119,7 @@ impl SimEngine {
     /// Execute `graph` on `machine` under `scheduler`; returns the full
     /// measurement report.
     ///
-    /// Convenience wrapper building a fresh [`EngineArena`] and idle
+    /// Convenience wrapper building a fresh [`EngineArena`] and
     /// [`PowerTables`] per run. Batch executors should build both once and
     /// call [`SimEngine::run_with_arena`] instead — the results are
     /// identical either way (the arena resets to a fresh state and the
@@ -130,13 +131,13 @@ impl SimEngine {
         cfg: EngineConfig,
     ) -> RunReport {
         let space = ConfigSpace::from_spec(&machine.spec);
-        let idle = PowerTables::measure(machine, &space);
+        let tables = PowerTables::measure(machine, &space);
         let mut arena = EngineArena::new();
-        Self::run_with_arena(machine, graph, scheduler, cfg, &mut arena, &idle)
+        Self::run_with_arena(machine, graph, scheduler, cfg, &mut arena, &tables)
     }
 
-    /// Execute `graph` reusing a caller-owned arena and precomputed idle
-    /// power tables (`idle` must be [`PowerTables::measure`] of `machine` —
+    /// Execute `graph` reusing a caller-owned arena and precomputed ladder
+    /// tables (`tables` must be [`PowerTables::measure`] of `machine` —
     /// `Campaign` workers pass the experiment context's tables).
     ///
     /// The arena is reset at the start of the run, so any arena works for
@@ -148,9 +149,9 @@ impl SimEngine {
         scheduler: &mut dyn Scheduler,
         cfg: EngineConfig,
         arena: &mut EngineArena,
-        idle: &PowerTables,
+        tables: &PowerTables,
     ) -> RunReport {
-        let mut sim = Sim::new(machine, graph, cfg, arena, idle);
+        let mut sim = Sim::new(machine, graph, cfg, arena, tables);
         sim.main_loop(scheduler);
         sim.into_report(scheduler, graph)
     }
@@ -167,8 +168,8 @@ struct Sim<'a> {
     /// queues, the calendar event queue, mirrors, scratch (see
     /// [`crate::arena`]).
     a: &'a mut EngineArena,
-    /// Precomputed idle rail power per frequency index.
-    idle: &'a PowerTables,
+    /// Precomputed idle rail power and law factors per ladder index.
+    tables: &'a PowerTables,
 
     next_token: u64,
     trace_rec: Option<ExecTrace>,
@@ -214,7 +215,7 @@ impl<'a> Sim<'a> {
         graph: &'a TaskGraph,
         cfg: EngineConfig,
         arena: &'a mut EngineArena,
-        idle: &'a PowerTables,
+        tables: &'a PowerTables,
     ) -> Self {
         let space = ConfigSpace::from_spec(&machine.spec);
         arena.reset(machine);
@@ -237,7 +238,7 @@ impl<'a> Sim<'a> {
             cfg,
             now: SimTime::ZERO,
             a: arena,
-            idle,
+            tables,
             next_token: 0,
             trace_rec: record_trace.then(ExecTrace::default),
             running_count: 0,
@@ -397,6 +398,24 @@ impl<'a> Sim<'a> {
                 pin_waits: 0,
             },
         );
+        self.wake_now(core);
+    }
+
+    /// Push a `Wake` for `core` at the current time, unless the core runs a
+    /// task whose live completion is strictly later: that `Wake` would pop,
+    /// find the core busy, and do nothing. The core picks its queue up
+    /// through the `Wake` its completion pushes. Pushes at the current
+    /// time take no future-queue sequence number, so eliding one leaves
+    /// the pop order of every other event unchanged.
+    fn wake_now(&mut self, core: usize) {
+        let slot = self.a.core_running[core];
+        if slot != NIL && self.a.run_finish[slot as usize] > self.now {
+            debug_assert!(
+                self.a.run_live[slot as usize] && self.a.run_cores[slot as usize].contains(&core),
+                "elided wake of core {core}: slot {slot} is not its live occupant"
+            );
+            return;
+        }
         self.push(self.now, Ev::Wake { core });
     }
 
@@ -507,7 +526,7 @@ impl<'a> Sim<'a> {
             if want_tc != my_tc {
                 let target = self.pick_home_core(Some(want_tc));
                 self.a.enqueue_back(target, q);
-                self.push(self.now, Ev::Wake { core: target });
+                self.wake_now(target);
                 return false;
             }
         }
@@ -684,12 +703,10 @@ impl<'a> Sim<'a> {
             }
         }
         let ctx = ExecContext { other_demand_gbs };
-        let exec = self.machine.execute(
+        let op = self.tables.op_point(tc, width, fc_now, fm_now);
+        let exec = self.machine.execute_at(
             &shape,
-            tc,
-            width,
-            self.space.fc_ghz(fc_now),
-            self.space.fm_ghz(fm_now),
+            &op,
             &ctx,
             &[
                 task.0 as u64,
@@ -871,22 +888,12 @@ impl<'a> Sim<'a> {
             let ctx = ExecContext {
                 other_demand_gbs: self.a.run_other_demand[slot],
             };
-            let t_old = self.machine.clean_time_s(
-                &shape,
-                tc,
-                width,
-                self.space.cpu_freqs_ghz[self.a.run_fc_cur[slot].0],
-                self.space.mem_freqs_ghz[self.a.run_fm_cur[slot].0],
-                &ctx,
-            );
-            let t_new = self.machine.clean_time_s(
-                &shape,
-                tc,
-                width,
-                self.space.cpu_freqs_ghz[fc_new.0],
-                self.space.mem_freqs_ghz[fm_new.0],
-                &ctx,
-            );
+            let op_old =
+                self.tables
+                    .op_point(tc, width, self.a.run_fc_cur[slot], self.a.run_fm_cur[slot]);
+            let op_new = self.tables.op_point(tc, width, fc_new, fm_new);
+            let t_old = self.machine.clean_time_at(&shape, &op_old, &ctx);
+            let t_new = self.machine.clean_time_at(&shape, &op_new, &ctx);
             let finish_at = self.a.run_finish[slot];
             let remaining = finish_at.since(self.now.min(finish_at)).as_secs_f64();
             let remaining_new = if t_old > 0.0 {
@@ -899,12 +906,9 @@ impl<'a> Sim<'a> {
             self.a.run_rescales[slot] += 1;
             // Refresh power draw at the new operating point (deterministic:
             // keyed by task and configuration).
-            let exec = self.machine.execute(
+            let exec = self.machine.execute_at(
                 &shape,
-                tc,
-                width,
-                self.space.cpu_freqs_ghz[fc_new.0],
-                self.space.mem_freqs_ghz[fm_new.0],
+                &op_new,
                 &ctx,
                 &[
                     self.a.run_task[slot].0 as u64,
@@ -943,12 +947,12 @@ impl<'a> Sim<'a> {
     /// SoA columns in slot order.
     fn rail_powers(&self) -> [f64; 3] {
         let mut big = self
-            .idle
+            .tables
             .cluster_idle_w(CoreType::Big, self.ctrl[0].freq_at(self.now));
         let mut little = self
-            .idle
+            .tables
             .cluster_idle_w(CoreType::Little, self.ctrl[1].freq_at(self.now));
-        let mut mem = self.idle.mem_idle_w(self.ctrl_mem.freq_at(self.now));
+        let mut mem = self.tables.mem_idle_w(self.ctrl_mem.freq_at(self.now));
         for slot in 0..self.a.run_live.len() {
             if self.a.run_live[slot] {
                 match self.a.run_tc[slot] {

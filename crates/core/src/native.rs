@@ -198,8 +198,11 @@ mod tests {
         let g = generators::independent("i", kernel(), 1000);
         let stats = NativeExecutor::new(4).execute(&g, |_| {
             // Enough work per task (~10 us) that workers spin up before the
-            // first worker drains the whole injector.
-            std::hint::black_box((0..50_000u64).fold(0u64, |a, b| a.wrapping_add(b * b)));
+            // first worker drains the whole injector. The opaque loop bound
+            // and accumulator keep an optimized build from replacing the
+            // loop with its closed-form sum.
+            let n = std::hint::black_box(50_000u64);
+            (0..n).fold(0u64, |a, b| std::hint::black_box(a.wrapping_add(b * b)));
         });
         assert_eq!(stats.total_tasks(), 1000);
         // With 1000 independent tasks, at least two workers should get work —

@@ -148,7 +148,8 @@ impl Scheduler for EraseSched {
     }
 
     fn revise(&mut self, ctx: &mut SchedCtx<'_>, task: TaskId, current: Placement) -> Placement {
-        if self.inflight.contains_key(&task) {
+        // The map is empty outside a kernel's sampling phase: skip hashing.
+        if !self.inflight.is_empty() && self.inflight.contains_key(&task) {
             return current;
         }
         let kernel = ctx.graph.kernel_of(task);
@@ -171,6 +172,9 @@ impl Scheduler for EraseSched {
     }
 
     fn task_completed(&mut self, ctx: &mut SchedCtx<'_>, sample: &ExecutedSample) {
+        if self.inflight.is_empty() {
+            return;
+        }
         let Some((kernel, cell)) = self.inflight.remove(&sample.task) else {
             return;
         };

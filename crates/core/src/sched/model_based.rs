@@ -330,7 +330,8 @@ impl Scheduler for ModelSched {
     }
 
     fn revise(&mut self, ctx: &mut SchedCtx<'_>, task: TaskId, current: Placement) -> Placement {
-        if self.inflight.contains_key(&task) {
+        // The map is empty outside a kernel's sampling phase: skip hashing.
+        if !self.inflight.is_empty() && self.inflight.contains_key(&task) {
             return current; // already carries a sampling assignment
         }
         let kernel = ctx.graph.kernel_of(task);
@@ -366,6 +367,9 @@ impl Scheduler for ModelSched {
     }
 
     fn task_completed(&mut self, ctx: &mut SchedCtx<'_>, sample: &ExecutedSample) {
+        if self.inflight.is_empty() {
+            return;
+        }
         let Some((kernel, cell)) = self.inflight.remove(&sample.task) else {
             return;
         };
@@ -373,21 +377,7 @@ impl Scheduler for ModelSched {
             let Some(KernelState::Sampling(sampler)) = self.kernels[kernel.index()].as_mut() else {
                 return;
             };
-            let accepted = sampler.record(cell, sample);
-            if std::env::var_os("JOSS_DEBUG_SAMPLER").is_some() {
-                eprintln!(
-                    "[{}] record cell {cell} ({:?}/{} fc {:?}) task {} width {} fc_start {:?} clean {} -> {}",
-                    self.name,
-                    sampler.plan()[cell].tc,
-                    sampler.plan()[cell].width,
-                    sampler.plan()[cell].fc,
-                    sample.task,
-                    sample.width,
-                    sample.fc_start,
-                    sample.is_clean(),
-                    if accepted { "ACCEPT" } else { "reject" },
-                );
-            }
+            sampler.record(cell, sample);
             sampler.is_complete()
         };
         if complete {

@@ -574,3 +574,42 @@ fn trace_recording_captures_every_task_and_transition() {
     let ascii = trace.ascii_timeline(machine.spec.total_cores(), 60);
     assert_eq!(ascii.lines().count(), machine.spec.total_cores());
 }
+
+#[test]
+fn coincident_completions_keep_their_schedule() {
+    // Identical compute-only tasks on a noiseless machine finish at
+    // identical instants, so a task often becomes ready on a core whose
+    // own completion is due at that same instant. The engine skips the
+    // `Wake` only for cores that complete strictly later; skipping it for
+    // a core completing now reorders dispatch and changes every run below.
+    // The pinned values were recorded from the engine before it skipped
+    // any `Wake`.
+    let machine = MachineModel::tx2_noiseless();
+    let g = generators::random_layered(
+        "coincident",
+        KernelSpec::new("k", TaskShape::new(0.002, 0.0)),
+        40,
+        12,
+        3,
+    );
+    let pinned: [(u64, u64); 4] = [
+        (120, 0x3fd6b0c5348777ef),
+        (114, 0x3fd7835b1a4cfaad),
+        (128, 0x3fd6fc1f1b2fcf22),
+        (131, 0x3fd7adadc25c94e8),
+    ];
+    for (seed, &(steals, total_j_bits)) in pinned.iter().enumerate() {
+        let mut sched = joss_core::sched::GrwsSched::new();
+        let r = SimEngine::run(
+            &machine,
+            &g,
+            &mut sched,
+            EngineConfig::with_seed(seed as u64),
+        );
+        assert_eq!(
+            (r.steals, r.total_j().to_bits()),
+            (steals, total_j_bits),
+            "seed {seed}"
+        );
+    }
+}

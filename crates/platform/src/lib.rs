@@ -37,7 +37,7 @@ pub mod topology;
 pub use config::{ConfigSpace, CoreType, FreqIndex, KnobConfig, NcIndex};
 pub use dvfs::{DvfsController, DvfsDomain, DvfsRequest};
 pub use energy::EnergyAccount;
-pub use machine::{ExecContext, ExecSample, MachineModel, MachineParams, TaskShape};
+pub use machine::{ExecContext, ExecSample, MachineModel, MachineParams, OpPoint, TaskShape};
 pub use noise::NoiseModel;
 pub use power::{PowerSensor, PowerTrace, RailSample};
 pub use tables::PowerTables;

@@ -140,6 +140,32 @@ pub struct ExecSample {
     pub true_mb: f64,
 }
 
+/// One operating point `<TC, NC, fC, fM>` with the law factors that depend
+/// only on the knobs, not on the task. The time and power laws are written
+/// once, over this struct: [`MachineModel::op_point`] fills it with `powf`
+/// from frequencies in GHz, and the engine fills it by ladder index from
+/// [`PowerTables`](crate::PowerTables), whose cells hold the bits the same
+/// expressions produce.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpPoint {
+    /// Core type the task runs on.
+    pub tc: CoreType,
+    /// Number of cores the task is molded across.
+    pub nc: usize,
+    /// CPU frequency, GHz.
+    pub fc_ghz: f64,
+    /// Demand-bandwidth growth with core count, `nc^0.85`.
+    pub nc_demand: f64,
+    /// Demand-bandwidth growth with CPU frequency, `(fC/fC_max)^0.55`.
+    pub fc_demand: f64,
+    /// Cluster voltage at `fC`, volts.
+    pub volt: f64,
+    /// DRAM supply bandwidth at `fM`, GB/s.
+    pub mem_supply_gbs: f64,
+    /// DRAM access energy at `fM`, joules per gigabyte.
+    pub mem_e_gb: f64,
+}
+
 /// Calibratable parameters beyond the [`PlatformSpec`] electricals.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MachineParams {
@@ -186,6 +212,46 @@ impl MachineModel {
         }
     }
 
+    /// Demand-bandwidth growth with core count, `nc^0.85`.
+    pub(crate) fn nc_demand(nc: usize) -> f64 {
+        powf_1fast(nc as f64, DEMAND_NC_EXP)
+    }
+
+    /// Demand-bandwidth growth with CPU frequency, `(fC/fC_max)^0.55`.
+    pub(crate) fn fc_demand(&self, fc_ghz: f64) -> f64 {
+        powf_1fast(fc_ghz / self.spec.fc_max_ghz(), DEMAND_FC_EXP)
+    }
+
+    /// DRAM supply bandwidth at memory frequency `fm_ghz`, GB/s.
+    pub(crate) fn mem_supply_gbs(&self, fm_ghz: f64) -> f64 {
+        let fm_rel = fm_ghz / self.spec.fm_max_ghz();
+        self.spec.mem_bw_gbs * powf_1fast(fm_rel, SUPPLY_FM_EXP)
+    }
+
+    /// DRAM access energy per gigabyte at memory frequency `fm_ghz`,
+    /// mildly increasing with frequency (higher-rate I/O costs more per
+    /// bit), matching the paper's Fig. 5b trends.
+    pub(crate) fn mem_e_gb(&self, fm_ghz: f64) -> f64 {
+        let fm_rel = fm_ghz / self.spec.fm_max_ghz();
+        self.spec.mem_energy_j_per_gb * (1.0 - MEM_E_FM_COUPLING + MEM_E_FM_COUPLING * fm_rel)
+    }
+
+    /// The law factors of `<tc, nc, fc_ghz, fm_ghz>`, evaluated with `powf`.
+    /// [`PowerTables::op_point`](crate::PowerTables::op_point) returns the
+    /// same bits from a table when the frequencies are ladder indices.
+    pub fn op_point(&self, tc: CoreType, nc: usize, fc_ghz: f64, fm_ghz: f64) -> OpPoint {
+        OpPoint {
+            tc,
+            nc,
+            fc_ghz,
+            nc_demand: Self::nc_demand(nc),
+            fc_demand: self.fc_demand(fc_ghz),
+            volt: self.spec.voltage(tc, fc_ghz),
+            mem_supply_gbs: self.mem_supply_gbs(fm_ghz),
+            mem_e_gb: self.mem_e_gb(fm_ghz),
+        }
+    }
+
     /// Compute-side time component (seconds), before noise.
     pub fn compute_time_s(&self, shape: &TaskShape, tc: CoreType, nc: usize, fc_ghz: f64) -> f64 {
         let cl = self.spec.cluster(tc);
@@ -203,16 +269,16 @@ impl MachineModel {
         fm_ghz: f64,
         ctx: &ExecContext,
     ) -> f64 {
+        self.stall_time_at(shape, &self.op_point(tc, nc, fc_ghz, fm_ghz), ctx)
+    }
+
+    fn stall_time_at(&self, shape: &TaskShape, op: &OpPoint, ctx: &ExecContext) -> f64 {
         if shape.bytes_gb <= 0.0 {
             return 0.0;
         }
-        let cl = self.spec.cluster(tc);
-        let fc_rel = fc_ghz / self.spec.fc_max_ghz();
-        let fm_rel = fm_ghz / self.spec.fm_max_ghz();
-        let demand = cl.core_bw_gbs
-            * powf_1fast(nc as f64, DEMAND_NC_EXP)
-            * powf_1fast(fc_rel, DEMAND_FC_EXP);
-        let supply_total = self.spec.mem_bw_gbs * powf_1fast(fm_rel, SUPPLY_FM_EXP);
+        let cl = self.spec.cluster(op.tc);
+        let demand = cl.core_bw_gbs * op.nc_demand * op.fc_demand;
+        let supply_total = op.mem_supply_gbs;
         // Contention: below saturation the other streams do not slow us
         // down; above it, supply is split proportionally to demand.
         let other = ctx.other_demand_gbs.max(0.0);
@@ -227,6 +293,14 @@ impl MachineModel {
         shape.bytes_gb / eff_bw
     }
 
+    /// `(stall, clean)` time in seconds: the stall component and the
+    /// noise-free total including fixed task overhead.
+    fn times_at(&self, shape: &TaskShape, op: &OpPoint, ctx: &ExecContext) -> (f64, f64) {
+        let t_comp = self.compute_time_s(shape, op.tc, op.nc, op.fc_ghz);
+        let t_stall = self.stall_time_at(shape, op, ctx);
+        (t_stall, t_comp + t_stall + self.params.task_overhead_s)
+    }
+
     /// Noise-free execution time (seconds) including fixed task overhead.
     pub fn clean_time_s(
         &self,
@@ -237,9 +311,12 @@ impl MachineModel {
         fm_ghz: f64,
         ctx: &ExecContext,
     ) -> f64 {
-        self.compute_time_s(shape, tc, nc, fc_ghz)
-            + self.stall_time_s(shape, tc, nc, fc_ghz, fm_ghz, ctx)
-            + self.params.task_overhead_s
+        self.clean_time_at(shape, &self.op_point(tc, nc, fc_ghz, fm_ghz), ctx)
+    }
+
+    /// [`MachineModel::clean_time_s`] at a prepared operating point.
+    pub fn clean_time_at(&self, shape: &TaskShape, op: &OpPoint, ctx: &ExecContext) -> f64 {
+        self.times_at(shape, op, ctx).1
     }
 
     /// Execute a task: the full measured sample at one configuration.
@@ -259,11 +336,20 @@ impl MachineModel {
         ctx: &ExecContext,
         keys: &[u64],
     ) -> ExecSample {
+        self.execute_at(shape, &self.op_point(tc, nc, fc_ghz, fm_ghz), ctx, keys)
+    }
+
+    /// [`MachineModel::execute`] at a prepared operating point.
+    pub fn execute_at(
+        &self,
+        shape: &TaskShape,
+        op: &OpPoint,
+        ctx: &ExecContext,
+        keys: &[u64],
+    ) -> ExecSample {
         debug_assert!(shape.is_valid(), "invalid task shape {shape:?}");
-        debug_assert!(nc >= 1);
-        let t_comp = self.compute_time_s(shape, tc, nc, fc_ghz);
-        let t_stall = self.stall_time_s(shape, tc, nc, fc_ghz, fm_ghz, ctx);
-        let t_clean = t_comp + t_stall + self.params.task_overhead_s;
+        debug_assert!(op.nc >= 1);
+        let (t_stall, t_clean) = self.times_at(shape, op, ctx);
         let mb = if t_clean > 0.0 {
             t_stall / t_clean
         } else {
@@ -277,23 +363,19 @@ impl MachineModel {
         // CPU dynamic power: switching power scales with V^2*f and droops
         // while stalled; the active-base term is paid by every active core
         // regardless of frequency (uncore/fabric).
-        let cl = self.spec.cluster(tc);
-        let v = self.spec.voltage(tc, fc_ghz);
+        let cl = self.spec.cluster(op.tc);
+        let v = op.volt;
         let activity = (1.0 - mb) + STALL_ACTIVITY * mb;
-        let cpu_dyn = nc as f64 * (cl.c_dyn * v * v * fc_ghz * activity + cl.active_base_w) * f_cpu;
+        let cpu_dyn =
+            op.nc as f64 * (cl.c_dyn * v * v * op.fc_ghz * activity + cl.active_base_w) * f_cpu;
 
-        // Memory dynamic power: per-byte energy at the achieved bandwidth,
-        // mildly increasing with memory frequency (higher-rate I/O costs more
-        // per bit), matching the paper's Fig. 5b trends.
+        // Memory dynamic power: per-byte energy at the achieved bandwidth.
         let achieved_bw = if t_clean > 0.0 {
             shape.bytes_gb / t_clean
         } else {
             0.0
         };
-        let fm_rel = fm_ghz / self.spec.fm_max_ghz();
-        let e_gb =
-            self.spec.mem_energy_j_per_gb * (1.0 - MEM_E_FM_COUPLING + MEM_E_FM_COUPLING * fm_rel);
-        let mem_dyn = e_gb * achieved_bw * f_mem;
+        let mem_dyn = op.mem_e_gb * achieved_bw * f_mem;
 
         ExecSample {
             duration: Duration::from_secs_f64(duration_s),

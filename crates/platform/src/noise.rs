@@ -12,6 +12,15 @@
 //! Noise magnitudes are calibrated per rail so the MPR models land near the
 //! paper's reported accuracies: execution time ~97%, CPU power ~90%, memory
 //! power ~80% (Fig. 10).
+//!
+//! Every simulated task execution draws all three factors (time, CPU power,
+//! memory power) for one key list, so [`NoiseModel::factors3`] is the only
+//! entry point. It folds the three per-quantity hashes in lockstep lanes:
+//! each lane computes exactly the splitmix fold of `[seed, tag, keys...]`
+//! it would compute alone, so the factors are bit-identical to three
+//! separate folds (the `fused_lanes_match_the_per_quantity_fold_bitwise`
+//! test holds it to a per-quantity reference), while the dependent hash
+//! chain is a third as long.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,19 +31,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Mix an arbitrary number of u64 keys into one, starting from `h`.
-///
-/// Folding keys directly keeps [`NoiseModel::factor`] allocation-free: the
-/// hash of `[seed, tag, keys...]` is produced by seeding the fold with the
-/// prefix instead of materializing the concatenated slice.
-#[inline]
-fn mix_into(mut h: u64, keys: &[u64]) -> u64 {
-    for &k in keys {
-        h = splitmix64(h ^ k);
-    }
-    h
 }
 
 /// Initial state of the key fold.
@@ -68,6 +64,10 @@ pub enum Quantity {
 }
 
 impl Quantity {
+    /// Every quantity, in declaration order: the lane order of
+    /// [`NoiseModel::factors3`].
+    pub const ALL: [Quantity; 3] = [Quantity::Time, Quantity::CpuPower, Quantity::MemPower];
+
     fn tag(self) -> u64 {
         match self {
             Quantity::Time => 0x54_49_4D_45,     // "TIME"
@@ -116,30 +116,32 @@ impl NoiseModel {
         }
     }
 
-    /// Multiplicative factor (mean 1) for a quantity measured under a keyed
-    /// context. The factor is clamped to [0.5, 1.5] to keep measurements
-    /// physical even in the distribution tails.
-    pub fn factor(&self, q: Quantity, keys: &[u64]) -> f64 {
-        let sigma = match q {
-            Quantity::Time => self.sigma_time,
-            Quantity::CpuPower => self.sigma_cpu_power,
-            Quantity::MemPower => self.sigma_mem_power,
-        };
-        if sigma == 0.0 {
-            return 1.0;
-        }
-        // Identical to hashing `[seed, tag, keys...]` as one slice, without
-        // building it: this runs three times per simulated task execution.
-        let h = mix_into(mix_into(MIX_INIT, &[self.seed, q.tag()]), keys);
-        (1.0 + sigma * std_normal(h)).clamp(0.5, 1.5)
-    }
-
     /// All three quantity factors for one measurement context, in
-    /// [`Quantity`] declaration order (time, CPU power, memory power):
-    /// exactly three [`NoiseModel::factor`] calls. This is the path
-    /// `MachineModel::execute` takes once per simulated task execution.
+    /// [`Quantity`] declaration order (time, CPU power, memory power). This
+    /// is the path `MachineModel::execute` takes once per simulated task
+    /// execution.
+    ///
+    /// Each factor is multiplicative with mean 1, clamped to [0.5, 1.5] to
+    /// keep measurements physical even in the distribution tails; a zero
+    /// sigma gives exactly `1.0`. Lane `q` hashes `[seed, q.tag(), keys...]`
+    /// with the splitmix fold and draws one Box-Muller normal from the hash.
+    /// The three lanes run in lockstep and share the seed step: the fold is
+    /// one dependent chain of `keys.len() + 2` steps, three hashes wide after
+    /// the first, not three such chains back to back.
     pub fn factors3(&self, keys: &[u64]) -> [f64; 3] {
-        [Quantity::Time, Quantity::CpuPower, Quantity::MemPower].map(|q| self.factor(q, keys))
+        let sigma = [self.sigma_time, self.sigma_cpu_power, self.sigma_mem_power];
+        let seeded = splitmix64(MIX_INIT ^ self.seed);
+        let mut h = Quantity::ALL.map(|q| splitmix64(seeded ^ q.tag()));
+        for &k in keys {
+            h = h.map(|lane| splitmix64(lane ^ k));
+        }
+        let mut out = [1.0; 3];
+        for ((f, &s), &lane) in out.iter_mut().zip(&sigma).zip(&h) {
+            if s != 0.0 {
+                *f = (1.0 + s * std_normal(lane)).clamp(0.5, 1.5);
+            }
+        }
+        out
     }
 }
 
@@ -147,30 +149,85 @@ impl NoiseModel {
 mod tests {
     use super::*;
 
+    /// One quantity's factor, through the fused kernel.
+    fn factor(n: &NoiseModel, q: Quantity, keys: &[u64]) -> f64 {
+        n.factors3(keys)[q as usize]
+    }
+
+    /// Reference: one quantity at a time, hashing `[seed, tag, keys...]`
+    /// as a single slice with its own fold, as the noise model did before
+    /// the three lanes were fused.
+    fn reference_factor(n: &NoiseModel, q: Quantity, keys: &[u64]) -> f64 {
+        let sigma = match q {
+            Quantity::Time => n.sigma_time,
+            Quantity::CpuPower => n.sigma_cpu_power,
+            Quantity::MemPower => n.sigma_mem_power,
+        };
+        if sigma == 0.0 {
+            return 1.0;
+        }
+        let mut h = MIX_INIT;
+        for k in [n.seed, q.tag()].iter().chain(keys) {
+            h = splitmix64(h ^ k);
+        }
+        (1.0 + sigma * std_normal(h)).clamp(0.5, 1.5)
+    }
+
+    #[test]
+    fn fused_lanes_match_the_per_quantity_fold_bitwise() {
+        let mut rng = 0x1234_5678_9ABC_DEF0u64;
+        let mut next = || {
+            rng = splitmix64(rng);
+            rng
+        };
+        let sigma_choices = [0.0, 0.02, 0.06, 0.30, 0.8];
+        for case in 0..4_000 {
+            let seed = next();
+            let mut pick = || sigma_choices[(next() % sigma_choices.len() as u64) as usize];
+            let n = NoiseModel {
+                seed,
+                sigma_time: pick(),
+                sigma_cpu_power: pick(),
+                sigma_mem_power: pick(),
+            };
+            // Engine-shaped keys (small integers) and arbitrary 64-bit ones,
+            // including the empty key list.
+            let len = case % 7;
+            let keys: Vec<u64> = (0..len)
+                .map(|_| if case % 2 == 0 { next() % 8 } else { next() })
+                .collect();
+            let got = n.factors3(&keys);
+            for q in Quantity::ALL {
+                assert_eq!(
+                    got[q as usize].to_bits(),
+                    reference_factor(&n, q, &keys).to_bits(),
+                    "{q:?} lane differs for {n:?}, keys {keys:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn deterministic_per_key() {
         let n = NoiseModel::calibrated(7);
-        let a = n.factor(Quantity::Time, &[1, 2, 3]);
-        let b = n.factor(Quantity::Time, &[1, 2, 3]);
+        let a = factor(&n, Quantity::Time, &[1, 2, 3]);
+        let b = factor(&n, Quantity::Time, &[1, 2, 3]);
         assert_eq!(a, b);
-        let c = n.factor(Quantity::Time, &[1, 2, 4]);
+        let c = factor(&n, Quantity::Time, &[1, 2, 4]);
         assert_ne!(a, c);
     }
 
     #[test]
     fn quantities_are_independent_streams() {
         let n = NoiseModel::calibrated(7);
-        let t = n.factor(Quantity::Time, &[42]);
-        let p = n.factor(Quantity::CpuPower, &[42]);
-        let m = n.factor(Quantity::MemPower, &[42]);
+        let [t, p, m] = n.factors3(&[42]);
         assert!(t != p && p != m && t != m);
     }
 
     #[test]
     fn disabled_noise_is_identity() {
         let n = NoiseModel::disabled(0);
-        assert_eq!(n.factor(Quantity::Time, &[9]), 1.0);
-        assert_eq!(n.factor(Quantity::MemPower, &[9]), 1.0);
+        assert_eq!(n.factors3(&[9]), [1.0; 3]);
     }
 
     #[test]
@@ -180,7 +237,7 @@ mod tests {
         let mut sum_sq = 0.0;
         let count = 20_000;
         for i in 0..count {
-            let f = n.factor(Quantity::MemPower, &[i]);
+            let f = factor(&n, Quantity::MemPower, &[i]);
             sum += f;
             sum_sq += f * f;
         }
@@ -201,15 +258,16 @@ mod tests {
             sigma_mem_power: 0.8,
         };
         for i in 0..5_000 {
-            let f = n.factor(Quantity::Time, &[i]);
-            assert!((0.5..=1.5).contains(&f));
+            for f in n.factors3(&[i]) {
+                assert!((0.5..=1.5).contains(&f));
+            }
         }
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = NoiseModel::calibrated(1).factor(Quantity::Time, &[1]);
-        let b = NoiseModel::calibrated(2).factor(Quantity::Time, &[1]);
+        let a = factor(&NoiseModel::calibrated(1), Quantity::Time, &[1]);
+        let b = factor(&NoiseModel::calibrated(2), Quantity::Time, &[1]);
         assert_ne!(a, b);
     }
 }
